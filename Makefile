@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 10s
 COVER_FLOOR ?= 75.0
 
-.PHONY: build test race lint lint-selftest lint-guard verify validate matrix chaos cluster fuzz cover golden bench bench-guard profile clean
+.PHONY: build test race lint lint-selftest lint-guard verify validate matrix chaos cluster fuzz cover golden bench bench-guard bench-selftest profile clean
 
 build:
 	$(GO) build ./...
@@ -76,11 +76,14 @@ chaos:
 	$(GO) test -race -count=1 ./internal/fault/... ./internal/machine/... ./internal/par/... ./internal/server/...
 
 # Distributed-tier lane: the 3-replica cluster e2e (consistent-hash sharding,
-# kill-a-replica failover, measurement-set batching), the restart-warm
-# persistent-store path, and server-level store corruption — real loopback
-# listeners, all under the race detector. See DESIGN.md §12.
+# kill-a-replica failover, the peer-forward deadline, measurement-set
+# batching), the restart-warm persistent-store path, and server-level store
+# corruption — real loopback listeners, all under the race detector — then the
+# LRU+singleflight cache every serving layer shares, repeated to shake out
+# interleavings. See DESIGN.md §12.
 cluster:
 	$(GO) test -race -count=1 -run 'TestCluster|TestStoreWarmRestart|TestStoreCorruption|TestBatching|TestSyncAdmission' -v ./internal/server/
+	$(GO) test -race -count=10 -run 'TestFlightCache(Hit|JoinedFlightIsShared|ErrorNotCached|WaiterCancel|LRUEviction|Disabled)$$' ./internal/server/
 	$(GO) test -race -count=1 ./internal/store/... ./internal/shard/...
 
 # Short coverage-guided fuzzing on top of the committed seed corpora under
@@ -121,6 +124,12 @@ bench-guard:
 	$(GO) test -run '^$$' -bench 'BenchmarkCollectDCache$$' -benchtime=2x -count=1 . | tee bench.out
 	$(GO) run ./cmd/benchjson -guard BENCH_7.json < bench.out
 	@rm -f bench.out
+
+# Self-tests of the benchmark (eventbench/, BENCHMARK.json). It is a module of
+# its own, so the root `go test ./...` does not reach it, yet it imports
+# internal/server and internal/suite.
+bench-selftest:
+	cd eventbench && $(GO) vet ./... && $(GO) test ./...
 
 # CPU + heap profiles of the DCache collection hot path; inspect with
 # `go tool pprof cpu.prof` / `go tool pprof mem.prof`. cmd/catrun grows the

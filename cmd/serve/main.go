@@ -55,8 +55,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "async job worker pool size")
 	pipelineWorkers := fs.Int("pipeline-workers", 0, "per-run pipeline worker pool size (0 = GOMAXPROCS, 1 = serial; results are identical either way)")
 	queueDepth := fs.Int("queue", 0, "async job queue depth (default 4x workers)")
-	cacheSize := fs.Int("cache-size", 64, "analysis result cache entries (LRU)")
-	jobTimeout := fs.Duration("job-timeout", time.Minute, "per-job pipeline timeout")
+	cacheSize := fs.Int("cache-size", 64, "response cache and analysis-internals memo entries (LRU, each)")
+	jobTimeout := fs.Duration("job-timeout", time.Minute, "per-job pipeline timeout; also the deadline of a request forwarded to a peer")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "drain deadline on SIGINT/SIGTERM")
 	maxBody := fs.Int64("max-body", 1<<20, "maximum request body bytes")
 	chaos := fs.String("chaos", "", "deterministic fault-injection spec for daemon seams, e.g. seed=7,http503=0.1,transient=0.2 (empty = off)")

@@ -1,126 +1,25 @@
 package server
 
 import (
-	"container/list"
 	"context"
-	"sync"
 
 	"github.com/perfmetrics/eventlens/internal/cat"
 	"github.com/perfmetrics/eventlens/internal/core"
-	"github.com/perfmetrics/eventlens/internal/obs"
 	"github.com/perfmetrics/eventlens/internal/suite"
 )
 
-// setCache batches collection: an LRU cache with singleflight semantics
-// over measurement sets, keyed by cat.RunConfig.MeasurementKey. Collection
-// depends only on (benchmark, RunConfig) — analysis thresholds never touch
-// it — and every analysis stage treats the set as immutable, so K analysis
-// configurations sharing a measurement key trigger exactly one collection
-// pass whether they arrive concurrently (they join the flight) or
-// sequentially (they hit the cache).
-type setCache struct {
-	mu      sync.Mutex
-	max     int
-	ll      *list.List // front = most recently used
-	items   map[string]*list.Element
-	flights map[string]*setFlight
-
-	coalesced   *obs.Counter // analyses that reused another config's set
-	collections *obs.Counter // collection passes actually executed
-}
-
-type setCacheEntry struct {
-	key string
-	val *core.MeasurementSet
-}
-
-// setFlight is one in-progress collection that concurrent requests for the
-// same measurement key wait on.
-type setFlight struct {
-	done chan struct{}
-	val  *core.MeasurementSet
-	err  error
-}
-
-func newSetCache(max int, coalesced, collections *obs.Counter) *setCache {
-	return &setCache{
-		max:         max,
-		ll:          list.New(),
-		items:       map[string]*list.Element{},
-		flights:     map[string]*setFlight{},
-		coalesced:   coalesced,
-		collections: collections,
-	}
-}
-
-// get returns the measurement set for key, running collect once to produce
-// it. Concurrent calls with the same key wait for the first caller's
-// collect (their own context still applies while waiting). Errors are not
-// cached; the next request retries.
-func (c *setCache) get(ctx context.Context, key string, collect func() (*core.MeasurementSet, error)) (*core.MeasurementSet, error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		val := el.Value.(*setCacheEntry).val
-		c.mu.Unlock()
-		c.coalesced.Inc()
-		return val, nil
-	}
-	if call, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		select {
-		case <-call.done:
-			if call.err != nil {
-				return nil, call.err
-			}
-			c.coalesced.Inc()
-			return call.val, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	call := &setFlight{done: make(chan struct{})}
-	c.flights[key] = call
-	c.mu.Unlock()
-
-	c.collections.Inc()
-	call.val, call.err = collect()
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if call.err == nil {
-		c.insert(key, call.val)
-	}
-	c.mu.Unlock()
-	close(call.done)
-	return call.val, call.err
-}
-
-// insert adds a set and evicts from the LRU tail past capacity. Caller
-// holds c.mu.
-func (c *setCache) insert(key string, val *core.MeasurementSet) {
-	if c.max <= 0 {
-		return
-	}
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*setCacheEntry).val = val
-		return
-	}
-	c.items[key] = c.ll.PushFront(&setCacheEntry{key: key, val: val})
-	for c.ll.Len() > c.max {
-		tail := c.ll.Back()
-		c.ll.Remove(tail)
-		delete(c.items, tail.Value.(*setCacheEntry).key)
-	}
-}
-
 // measurementSet resolves (benchmark, run) to its shared measurement set
-// through the batching cache. Collections running under minimal spanning
-// kernel selection count themselves and the points the selection pruned
-// (full basis rows minus collected points) — the cost the selection saved.
+// through the batching cache, keyed by cat.RunConfig.MeasurementKey.
+// Collection depends only on (benchmark, RunConfig) — analysis thresholds
+// never touch it — and every analysis stage treats the set as immutable, so
+// K analysis configurations sharing a measurement key trigger exactly one
+// collection pass whether they arrive concurrently (they join the flight)
+// or sequentially (they hit the cache). Collections running under minimal
+// spanning kernel selection count themselves and the points the selection
+// pruned (full basis rows minus collected points) — the cost it saved.
 func (s *Server) measurementSet(ctx context.Context, bench suite.Benchmark, run cat.RunConfig) (*core.MeasurementSet, error) {
-	return s.sets.get(ctx, run.MeasurementKey(bench.Name), func() (*core.MeasurementSet, error) {
+	set, shared, err := s.sets.do(ctx, run.MeasurementKey(bench.Name), func() (*core.MeasurementSet, error) {
+		s.collections.Inc()
 		set, err := bench.Collect(ctx, run)
 		if err != nil {
 			return nil, err
@@ -133,4 +32,8 @@ func (s *Server) measurementSet(ctx context.Context, bench suite.Benchmark, run 
 		}
 		return set, nil
 	})
+	if shared {
+		s.batchCoalesced.Inc()
+	}
+	return set, err
 }

@@ -4,116 +4,103 @@ import (
 	"container/list"
 	"context"
 	"sync"
-
-	"github.com/perfmetrics/eventlens/internal/obs"
 )
 
-// resultCache is an LRU cache with singleflight semantics over computed
-// results (analyses, event-trust validations). Every producer is
-// deterministic — the same canonical key always produces the same result —
-// so cache hits are exact and concurrent identical requests can safely share
-// one execution. Entries are untyped; each endpoint family owns its key
-// prefix and the type behind it.
-type resultCache struct {
+// flightCache is an LRU cache with singleflight semantics. Every producer
+// behind it is deterministic — the same key always produces the same value —
+// so hits are exact and concurrent identical requests can safely share one
+// execution. The daemon keeps three: canonical response bytes (the serving
+// ladder), measurement sets (collection batching) and analysis internals
+// (the memo define, explain and presets read).
+type flightCache[V any] struct {
 	mu      sync.Mutex
 	max     int
 	ll      *list.List // front = most recently used
 	items   map[string]*list.Element
-	flights map[string]*flightCall
-
-	hits   *obs.Counter
-	misses *obs.Counter
+	flights map[string]*flight[V]
 }
 
-type cacheEntry struct {
+type cacheEntry[V any] struct {
 	key string
-	val any
+	val V
 }
 
-// flightCall is one in-progress pipeline execution that concurrent
-// identical requests wait on.
-type flightCall struct {
+// flight is one in-progress computation that concurrent identical requests
+// wait on.
+type flight[V any] struct {
 	done chan struct{}
-	val  any
+	val  V
 	err  error
 }
 
-func newResultCache(max int, hits, misses *obs.Counter) *resultCache {
-	return &resultCache{
+func newFlightCache[V any](max int) *flightCache[V] {
+	return &flightCache[V]{
 		max:     max,
 		ll:      list.New(),
 		items:   map[string]*list.Element{},
-		flights: map[string]*flightCall{},
-		hits:    hits,
-		misses:  misses,
+		flights: map[string]*flight[V]{},
 	}
 }
 
 // do returns the cached value for key, or runs fn once to produce it.
 // Concurrent calls with the same key wait for the first caller's fn (their
-// own context still applies while waiting). Joining an in-flight execution
-// counts as a hit — the pipeline ran once for many requests. Errors are not
-// cached; the next request retries.
-func (c *resultCache) do(ctx context.Context, key string, fn func() (any, error)) (any, bool, error) {
+// own context still applies while waiting). shared reports that the value
+// came from the cache or from joining another caller's flight — fn ran once
+// for many requests. Errors are not cached; the next call retries.
+func (c *flightCache[V]) do(ctx context.Context, key string, fn func() (V, error)) (val V, shared bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		val := el.Value.(*cacheEntry).val
+		val = el.Value.(*cacheEntry[V]).val
 		c.mu.Unlock()
-		c.hits.Inc()
 		return val, true, nil
 	}
-	if call, ok := c.flights[key]; ok {
+	if f, ok := c.flights[key]; ok {
 		c.mu.Unlock()
 		select {
-		case <-call.done:
-			if call.err != nil {
-				return nil, false, call.err
-			}
-			c.hits.Inc()
-			return call.val, true, nil
+		case <-f.done:
+			return f.val, f.err == nil, f.err
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
+			return val, false, ctx.Err()
 		}
 	}
-	call := &flightCall{done: make(chan struct{})}
-	c.flights[key] = call
+	f := &flight[V]{done: make(chan struct{})}
+	c.flights[key] = f
 	c.mu.Unlock()
 
-	c.misses.Inc()
-	call.val, call.err = fn()
+	f.val, f.err = fn()
 
 	c.mu.Lock()
 	delete(c.flights, key)
-	if call.err == nil {
-		c.insert(key, call.val)
+	if f.err == nil {
+		c.insert(key, f.val)
 	}
 	c.mu.Unlock()
-	close(call.done)
-	return call.val, false, call.err
+	close(f.done)
+	return f.val, false, f.err
 }
 
 // insert adds a value and evicts from the LRU tail past capacity. Caller
 // holds c.mu.
-func (c *resultCache) insert(key string, val any) {
+func (c *flightCache[V]) insert(key string, val V) {
 	if c.max <= 0 {
 		return
 	}
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).val = val
+		el.Value.(*cacheEntry[V]).val = val
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
+	c.items[key] = c.ll.PushFront(&cacheEntry[V]{key: key, val: val})
 	for c.ll.Len() > c.max {
 		tail := c.ll.Back()
 		c.ll.Remove(tail)
-		delete(c.items, tail.Value.(*cacheEntry).key)
+		delete(c.items, tail.Value.(*cacheEntry[V]).key)
 	}
 }
 
 // len reports the number of cached entries.
-func (c *resultCache) len() int {
+func (c *flightCache[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/perfmetrics/eventlens/internal/core"
+	"github.com/perfmetrics/eventlens/internal/store"
 )
 
 // taurq builds an analyze request whose tau offset gives it a distinct
@@ -114,11 +115,16 @@ func TestStoreWarmRestart(t *testing.T) {
 		t.Fatalf("second warm request header = %q, want \"hit\"", got)
 	}
 
-	// A stub still upgrades for endpoints needing pipeline internals, and
-	// the recomputation agrees with the stored bytes.
-	wd := postJSON(t, h, "/v1/metrics/define", `{"benchmark":"cpu-flops","metric":"DP Ops."}`)
+	// Endpoints needing pipeline internals still work on a disk-warmed key,
+	// and answer exactly what a fresh server computes.
+	defineBody := `{"benchmark":"cpu-flops","metric":"DP Ops."}`
+	wd := postJSON(t, h, "/v1/metrics/define", defineBody)
 	if wd.Code != http.StatusOK {
 		t.Fatalf("define on warmed entry: %d %s", wd.Code, wd.Body)
+	}
+	fresh := postJSON(t, newTestServer(t, Config{}).Handler(), "/v1/metrics/define", defineBody)
+	if fresh.Code != http.StatusOK || !bytes.Equal(wd.Body.Bytes(), fresh.Body.Bytes()) {
+		t.Fatalf("define on warmed entry differs from a fresh server's:\n%s\nvs\n%s", wd.Body, fresh.Body)
 	}
 	text := metricsText(t, h)
 	if !strings.Contains(text, "eventlensd_store_hits_total 1") {
@@ -126,6 +132,50 @@ func TestStoreWarmRestart(t *testing.T) {
 	}
 	if !strings.Contains(text, "eventlensd_store_entries 1") {
 		t.Fatalf("store entries gauge wrong:\n%s", grepLines(text, "store_"))
+	}
+}
+
+// TestStoreStaleEntryServedAndFlagged plants a verified store entry whose
+// payload differs from what the pipeline computes for its key — what a
+// determinism violation or a store from an incompatible release leaves
+// behind. /v1/analyze serves the stored bytes (the store is trusted once
+// verified), and the first route needing pipeline internals recomputes them,
+// still succeeds, and logs the disagreement.
+func TestStoreStaleEntryServedAndFlagged(t *testing.T) {
+	dir := t.TempDir()
+	var logs bytes.Buffer
+	s := newTestServer(t, Config{StoreDir: dir, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	h := s.Handler()
+	req := analyzeRequest{Benchmark: "cpu-flops"}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := []byte("{\n  \"benchmark\": \"cpu-flops\",\n  \"report\": \"stale\"\n}\n")
+	if err := st.Put(keyOf(t, s, req), stale); err != nil {
+		t.Fatal(err)
+	}
+
+	w := postJSON(t, h, "/v1/analyze", marshalReq(t, req))
+	if w.Code != http.StatusOK || w.Header().Get("X-Eventlens-Cache") != "disk" {
+		t.Fatalf("analyze: %d, cache %q: %s", w.Code, w.Header().Get("X-Eventlens-Cache"), w.Body)
+	}
+	if !bytes.Equal(w.Body.Bytes(), stale) {
+		t.Fatalf("analyze served %q, want the stored bytes", w.Body)
+	}
+	const warning = "recomputed analysis differs from stored response"
+	if strings.Contains(logs.String(), warning) {
+		t.Fatal("mismatch flagged before anything was recomputed")
+	}
+	wd := postJSON(t, h, "/v1/metrics/define", `{"benchmark":"cpu-flops","metric":"DP Ops."}`)
+	if wd.Code != http.StatusOK {
+		t.Fatalf("define on stale entry: %d %s", wd.Code, wd.Body)
+	}
+	if !strings.Contains(logs.String(), warning) {
+		t.Fatalf("stale store entry not flagged; log:\n%s", logs.String())
+	}
+	if got := s.pipelineRuns.Value(); got != 1 {
+		t.Fatalf("pipeline runs = %d, want 1 (define recomputes the internals once)", got)
 	}
 }
 
@@ -479,6 +529,66 @@ func TestClusterPeerChaosFailsOver(t *testing.T) {
 	text := metricsText(t, h)
 	if !strings.Contains(text, `eventlensd_faults_injected_total{site="peer",kind="transient"}`) {
 		t.Fatalf("peer injections not counted:\n%s", grepLines(text, "faults_injected"))
+	}
+}
+
+// TestClusterPeerDeadline points a key's owner at a peer that accepts
+// connections and never answers. The forward must give up at the peer
+// client's deadline (JobTimeout) and fail over to local serving, instead of
+// holding the request for as long as the hung peer holds the connection.
+func TestClusterPeerDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			_ = c.Close()
+		}
+	})
+	hung := "http://" + ln.Addr().String()
+	self := "http://127.0.0.1:11"
+	s := newTestServer(t, Config{Peers: []string{self, hung}, SelfURL: self, JobTimeout: 300 * time.Millisecond})
+
+	var req analyzeRequest
+	found := false
+	for i := 0; i < 16 && !found; i++ {
+		req = taurq(i)
+		found = s.ring.Owner(keyOf(t, s, req)) == hung
+	}
+	if !found {
+		t.Fatal("no candidate key owned by the hung peer")
+	}
+	start := time.Now()
+	w := postJSON(t, s.Handler(), "/v1/analyze", marshalReq(t, req))
+	elapsed := time.Since(start)
+	if w.Code != http.StatusOK {
+		t.Fatalf("analyze with a hung owner: %d %s", w.Code, w.Body)
+	}
+	if w.Header().Get(servedByHeader) != "" {
+		t.Fatalf("served by %q, want local serving", w.Header().Get(servedByHeader))
+	}
+	if elapsed > 5*time.Second {
+		t.Fatalf("failover took %v with a 300ms peer deadline", elapsed)
+	}
+	if got := s.shardRequests.With("failover").Value(); got != 1 {
+		t.Fatalf("failover outcome counted %d times, want 1", got)
 	}
 }
 

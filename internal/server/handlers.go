@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"github.com/perfmetrics/eventlens/internal/cat"
@@ -199,29 +198,17 @@ type analyzeResponse struct {
 	Report string `json:"report"`
 }
 
-// analysis is the cached product of one analysis key. A freshly computed
-// entry is full: it carries the pipeline internals (res, set, defs) that
-// define/explain/presets need. An entry warmed from the persistent store is
-// a stub — only respJSON, the canonical analyze response, is known — and is
-// upgraded lazily (ensureFull) the first time an endpoint needs internals.
-// respJSON is always set and is what /v1/analyze serves, so disk-warmed and
-// computed entries are byte-identical on the wire.
+// analysis holds the pipeline internals of one analysis key — what
+// define, explain and presets read, and what the canonical /v1/analyze
+// response is rendered from. Values live in the internals memo and are
+// immutable once computed.
 type analysis struct {
 	bench suite.Benchmark
 	run   cat.RunConfig
 	cfg   core.Config
-
-	// respJSON is the canonical /v1/analyze response body.
-	respJSON []byte
-
-	// mu guards the lazily upgraded fields below; full reports whether they
-	// are populated.
-	mu     sync.Mutex
-	full   bool
-	res    *core.Result
-	set    *core.MeasurementSet
-	defs   []*core.MetricDefinition
-	report string
+	res   *core.Result
+	set   *core.MeasurementSet
+	defs  []*core.MetricDefinition
 }
 
 func (a *analysis) response() *analyzeResponse {
@@ -242,7 +229,7 @@ func (a *analysis) response() *analyzeResponse {
 			Dropped:       append([]string{}, a.res.Projection.Dropped...),
 		},
 		SelectedEvents: append([]string{}, a.res.SelectedEvents...),
-		Report:         a.report,
+		Report:         core.FormatAnalysisReport(a.res, a.cfg.ProjectionTol, a.bench.MetricTable, a.defs),
 	}
 	if len(a.res.Unmeasured) > 0 {
 		resp.Faults = append([]string{}, a.res.Unmeasured...)
@@ -302,149 +289,111 @@ func analysisKey(bench suite.Benchmark, run cat.RunConfig, cfg core.Config) stri
 	return fmt.Sprintf("%s|%s|%s", bench.Name, run, cfg)
 }
 
-// Cache sources reported in the X-Eventlens-Cache header.
-const (
-	srcHit  = "hit"  // served from the in-memory cache (or joined a flight)
-	srcDisk = "disk" // warmed from the persistent store, zero recomputation
-	srcMiss = "miss" // computed now
-)
-
-// doAnalyze runs (or fetches) the analysis for a request; used by the async
-// job path, which is already admitted by the bounded worker pool.
-func (s *Server) doAnalyze(ctx context.Context, req analyzeRequest) (*analyzeResponse, bool, error) {
-	a, src, err := s.analysisFor(ctx, req, false)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := a.toResponse()
-	if err != nil {
-		return nil, false, err
-	}
-	return resp, src != srcMiss, nil
-}
-
-// analysisFor returns the cached analysis for a request. On a memory miss
-// it consults the persistent store (a verified entry becomes a stub — no
-// recomputation), and only then computes, publishing the result back to the
-// store. gated requests pass admission control before computing; job
-// workers are bounded already and pass gated=false.
-func (s *Server) analysisFor(ctx context.Context, req analyzeRequest, gated bool) (*analysis, string, error) {
+// analyzeKey is the analyze endpoint's key function.
+func (s *Server) analyzeKey(req analyzeRequest) (string, error) {
 	bench, run, cfg, err := s.resolve(req)
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
-	key := analysisKey(bench, run, cfg)
-	src := srcHit // stays "hit" when the cache or a joined flight serves it
-	v, _, err := s.cache.do(ctx, key, func() (any, error) {
-		if payload, ok := s.storeGet(key); ok {
-			src = srcDisk
-			return &analysis{bench: bench, run: run, cfg: cfg, respJSON: payload}, nil
-		}
-		src = srcMiss
-		a, err := s.compute(ctx, bench, run, cfg, gated)
-		if err != nil {
-			return nil, err
-		}
-		s.storePut(key, a.respJSON)
-		return a, nil
-	})
-	if err != nil {
-		return nil, src, err
-	}
-	return v.(*analysis), src, nil
+	return analysisKey(bench, run, cfg), nil
 }
 
-// compute runs the pipeline for one analysis key: collection via the
-// batching measurement-set cache, then the analysis stages over the shared
-// (immutable) set. gated computations are subject to admission control.
-func (s *Server) compute(ctx context.Context, bench suite.Benchmark, run cat.RunConfig, cfg core.Config, gated bool) (*analysis, error) {
-	if gated {
-		release, err := s.admitSync()
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-	}
-	start := time.Now()
-	set, err := s.measurementSet(ctx, bench, run)
+// analyzeBody is the analyze endpoint's compute function: the canonical
+// response rendered from the key's internals. The ladder has already
+// admitted it.
+func (s *Server) analyzeBody(ctx context.Context, req analyzeRequest) ([]byte, error) {
+	key, err := s.analyzeKey(req)
 	if err != nil {
 		return nil, err
 	}
-	res, err := bench.AnalyzeSet(ctx, set, cfg)
+	a, err := s.internals(ctx, key, req, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	defs, err := res.DefineMetrics(bench.Signatures)
-	if err != nil {
-		return nil, err
-	}
-	s.pipelineRuns.Inc()
-	s.pipelineSeconds.Observe(time.Since(start).Seconds())
-	a := &analysis{
-		bench:  bench,
-		run:    run,
-		cfg:    cfg,
-		full:   true,
-		res:    res,
-		set:    set,
-		defs:   defs,
-		report: core.FormatAnalysisReport(res, cfg.ProjectionTol, bench.MetricTable, defs),
-	}
-	a.respJSON = canonicalJSON(a.response())
-	return a, nil
+	return canonicalJSON(a.response()), nil
 }
 
-// ensureFull upgrades a disk-warmed stub to a full analysis by recomputing
-// the pipeline internals (deterministic, so they match the stored response).
-// Concurrent upgraders of one entry serialize on the entry's mutex.
-func (s *Server) ensureFull(ctx context.Context, a *analysis, gated bool) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.full {
-		return nil
-	}
-	full, err := s.compute(ctx, a.bench, a.run, a.cfg, gated)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(full.respJSON, a.respJSON) {
-		// Determinism violation or a stale store from an incompatible
-		// release: keep serving the stored bytes for /v1/analyze (the
-		// contract) but flag it loudly.
-		s.log.Warn("recomputed analysis differs from stored response",
-			"benchmark", a.bench.Name, "run", a.run.String(), "config", a.cfg.String())
-	}
-	a.res, a.set, a.defs, a.report = full.res, full.set, full.defs, full.report
-	a.full = true
-	return nil
-}
-
-// fullAnalysisFor is analysisFor plus the stub upgrade: endpoints that need
-// pipeline internals (define, explain, presets) go through here.
-func (s *Server) fullAnalysisFor(ctx context.Context, req analyzeRequest) (*analysis, error) {
-	a, _, err := s.analysisFor(ctx, req, true)
+// doAnalyze runs (or fetches) the analysis for an async job through the
+// analyze ladder, ungated — the bounded worker pool already admitted it —
+// and decodes the canonical bytes, which every layer holds alike.
+func (s *Server) doAnalyze(ctx context.Context, req analyzeRequest) (*analyzeResponse, error) {
+	key, err := s.analyzeKey(req)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.ensureFull(ctx, a, true); err != nil {
+	body, _, err := s.analyze.fetch(ctx, key, req, false)
+	if err != nil {
 		return nil, err
-	}
-	return a, nil
-}
-
-// toResponse decodes the analysis into the response DTO: directly for full
-// entries, from the stored canonical bytes for stubs.
-func (a *analysis) toResponse() (*analyzeResponse, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.full {
-		return a.response(), nil
 	}
 	var resp analyzeResponse
-	if err := json.Unmarshal(a.respJSON, &resp); err != nil {
-		return nil, fmt.Errorf("server: stored analysis for %s undecodable: %w", a.bench.Name, err)
+	if err := json.Unmarshal(body, &resp); err != nil {
+		return nil, fmt.Errorf("server: analysis for %s undecodable: %w", req.Benchmark, err)
 	}
 	return &resp, nil
+}
+
+// analysisOf serves the routes that need pipeline internals (define,
+// explain, presets). It walks the analyze ladder first, so those routes
+// warm, count and publish exactly like /v1/analyze, then reads the key's
+// internals from the memo.
+func (s *Server) analysisOf(ctx context.Context, req analyzeRequest) (*analysis, error) {
+	key, err := s.analyzeKey(req)
+	if err != nil {
+		return nil, err
+	}
+	body, _, err := s.analyze.fetch(ctx, key, req, true)
+	if err != nil {
+		return nil, err
+	}
+	return s.internals(ctx, key, req, true, body)
+}
+
+// internals returns an analysis key's pipeline internals from the memo,
+// running the pipeline on a miss: collection via the batching
+// measurement-set cache, then the analysis stages over the shared
+// (immutable) set. The memo's flight makes one key run the pipeline once,
+// however many routes ask. gated runs pass admission control. served, when
+// set, is the response the ladder already holds for the key — from the
+// store, or from memory after the memo evicted the key — and a
+// recomputation that disagrees with it is logged: a determinism violation
+// or a store written by an incompatible release. /v1/analyze keeps serving
+// the held bytes (the contract).
+func (s *Server) internals(ctx context.Context, key string, req analyzeRequest, gated bool, served []byte) (*analysis, error) {
+	a, _, err := s.memo.do(ctx, key, func() (*analysis, error) {
+		bench, run, cfg, err := s.resolve(req)
+		if err != nil {
+			return nil, err
+		}
+		if gated {
+			release, err := s.admitSync()
+			if err != nil {
+				return nil, err
+			}
+			defer release()
+		}
+		start := time.Now()
+		set, err := s.measurementSet(ctx, bench, run)
+		if err != nil {
+			return nil, err
+		}
+		res, err := bench.AnalyzeSet(ctx, set, cfg)
+		if err != nil {
+			return nil, err
+		}
+		defs, err := res.DefineMetrics(bench.Signatures)
+		if err != nil {
+			return nil, err
+		}
+		s.pipelineRuns.Inc()
+		s.pipelineSeconds.Observe(time.Since(start).Seconds())
+		a := &analysis{bench: bench, run: run, cfg: cfg, res: res, set: set, defs: defs}
+		if served != nil && !bytes.Equal(canonicalJSON(a.response()), served) {
+			s.log.Warn("recomputed analysis differs from stored response",
+				"benchmark", bench.Name, "run", run.String(), "config", cfg.String())
+		}
+		return a, nil
+	})
+	return a, err
 }
 
 // admitSync is admission control for synchronous computations: a
@@ -473,29 +422,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WritePrometheus(w)
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	var req analyzeRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	// In a sharded tier, requests arriving from clients are routed to the
-	// key's owner; requests already forwarded by a peer (marker header) are
-	// always served locally, so forwarding cannot loop.
-	if s.ring != nil && r.Header.Get(peerHeader) == "" {
-		if s.maybeForward(w, r, req) {
-			return
-		}
-	}
-	a, src, err := s.analysisFor(r.Context(), req, true)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.Header().Set("X-Eventlens-Cache", src)
-	writeBody(w, http.StatusOK, a.respJSON)
-}
-
 // ---- Event-trust validation -------------------------------------------
 
 // validateKey is the canonical cache/store/shard key of one event-trust
@@ -510,78 +436,28 @@ func validateKey(req validate.Request) (string, error) {
 	return "validate|" + k, nil
 }
 
-// validateFor returns the canonical validation envelope for a request through
-// the same ladder as analyses: in-memory cache (with singleflight), then the
-// persistent store, then computation — publishing fresh results back to the
-// store. The cached value is the canonical envelope bytes themselves; the
-// validator is deterministic, so equal keys mean equal bytes everywhere.
-func (s *Server) validateFor(ctx context.Context, req validate.Request, gated bool) ([]byte, string, error) {
-	key, err := validateKey(req)
+// validateBody computes the canonical envelope of /v1/events/validate,
+// byte-identical to `validate -platform <p> -json`. Requests carrying a
+// fault spec degrade exactly like the CLI — lost benchmarks and dropped
+// events are listed in the report, and only a validation losing every
+// benchmark fails (as 503, never 500).
+func (s *Server) validateBody(ctx context.Context, req validate.Request) ([]byte, error) {
+	if req.Workers == 0 {
+		req.Workers = s.cfg.PipelineWorkers
+	}
+	start := time.Now()
+	report, err := validate.Run(ctx, req)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	src := srcHit
-	v, _, err := s.cache.do(ctx, key, func() (any, error) {
-		if payload, ok := s.storeGet(key); ok {
-			src = srcDisk
-			return payload, nil
-		}
-		src = srcMiss
-		if gated {
-			release, err := s.admitSync()
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-		}
-		if req.Workers == 0 {
-			req.Workers = s.cfg.PipelineWorkers
-		}
-		start := time.Now()
-		report, err := validate.Run(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		s.validateRuns.Inc()
-		s.pipelineSeconds.Observe(time.Since(start).Seconds())
-		for _, verdict := range validate.VerdictOrder() {
-			if n := report.Counts[verdict]; n > 0 {
-				s.validateVerdicts.With(verdict).Add(uint64(n))
-			}
-		}
-		payload := validate.NewEnvelope(report).CanonicalJSON()
-		s.storePut(key, payload)
-		return payload, nil
-	})
-	if err != nil {
-		return nil, src, err
-	}
-	return v.([]byte), src, nil
-}
-
-// handleValidate serves /v1/events/validate: the canonical event-trust
-// envelope for a platform, byte-identical to `validate -platform <p> -json`.
-// Requests carrying a fault spec degrade exactly like the CLI — lost
-// benchmarks and dropped events are listed in the report, and only a
-// validation losing every benchmark fails (as 503, never 500).
-func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	var req validate.Request
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if s.ring != nil && r.Header.Get(peerHeader) == "" {
-		if s.maybeForwardValidate(w, r, req) {
-			return
+	s.validateRuns.Inc()
+	s.pipelineSeconds.Observe(time.Since(start).Seconds())
+	for _, verdict := range validate.VerdictOrder() {
+		if n := report.Counts[verdict]; n > 0 {
+			s.validateVerdicts.With(verdict).Add(uint64(n))
 		}
 	}
-	payload, src, err := s.validateFor(r.Context(), req, true)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.Header().Set("X-Eventlens-Cache", src)
-	writeBody(w, http.StatusOK, payload)
+	return validate.NewEnvelope(report).CanonicalJSON(), nil
 }
 
 // ---- Composability matrix ---------------------------------------------
@@ -597,75 +473,25 @@ func (s *Server) matrixKey(req matrix.Request) (string, error) {
 	return "matrix|" + k, nil
 }
 
-// matrixFor returns the canonical matrix envelope for a request through the
-// same ladder as analyses and validations: in-memory cache (with
-// singleflight), then the persistent store, then computation — publishing
-// fresh results back to the store. The matrix is deterministic (worker
-// counts never change its bytes), so equal keys mean equal bytes everywhere.
-func (s *Server) matrixFor(ctx context.Context, req matrix.Request, gated bool) ([]byte, string, error) {
-	key, err := s.matrixKey(req)
+// matrixBody computes the canonical envelope of /v1/matrix: the
+// cross-architecture composability matrix over the registered platforms,
+// byte-identical to `figures -fig matrix -json` for the same request.
+// Requests carrying a fault spec degrade like the CLI — pairs losing their
+// collection are listed in the report — and only a matrix losing every pair
+// fails (as 503, never 500).
+func (s *Server) matrixBody(ctx context.Context, req matrix.Request) ([]byte, error) {
+	if req.Workers == 0 {
+		req.Workers = s.cfg.PipelineWorkers
+	}
+	start := time.Now()
+	report, err := matrix.Run(ctx, s.platforms, req)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	src := srcHit
-	v, _, err := s.cache.do(ctx, key, func() (any, error) {
-		if payload, ok := s.storeGet(key); ok {
-			src = srcDisk
-			return payload, nil
-		}
-		src = srcMiss
-		if gated {
-			release, err := s.admitSync()
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-		}
-		if req.Workers == 0 {
-			req.Workers = s.cfg.PipelineWorkers
-		}
-		start := time.Now()
-		report, err := matrix.Run(ctx, s.platforms, req)
-		if err != nil {
-			return nil, err
-		}
-		s.matrixRuns.Inc()
-		s.matrixCells.Add(uint64(report.Total))
-		s.pipelineSeconds.Observe(time.Since(start).Seconds())
-		payload := matrix.NewEnvelope(report).CanonicalJSON()
-		s.storePut(key, payload)
-		return payload, nil
-	})
-	if err != nil {
-		return nil, src, err
-	}
-	return v.([]byte), src, nil
-}
-
-// handleMatrix serves /v1/matrix: the cross-architecture composability
-// matrix over the registered platforms, byte-identical to
-// `figures -fig matrix -json` for the same request. Requests carrying a
-// fault spec degrade like the CLI — pairs losing their collection are
-// listed in the report — and only a matrix losing every pair fails (as 503,
-// never 500).
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	var req matrix.Request
-	if err := decodeJSON(r, &req); err != nil {
-		writeErr(w, err)
-		return
-	}
-	if s.ring != nil && r.Header.Get(peerHeader) == "" {
-		if s.maybeForwardMatrix(w, r, req) {
-			return
-		}
-	}
-	payload, src, err := s.matrixFor(r.Context(), req, true)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	w.Header().Set("X-Eventlens-Cache", src)
-	writeBody(w, http.StatusOK, payload)
+	s.matrixRuns.Inc()
+	s.matrixCells.Add(uint64(report.Total))
+	s.pipelineSeconds.Observe(time.Since(start).Seconds())
+	return matrix.NewEnvelope(report).CanonicalJSON(), nil
 }
 
 // defineRequest solves one signature — either a named one from the
@@ -710,7 +536,7 @@ func (s *Server) handleDefine(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "exactly one of \"metric\" (a name from the benchmark's table) or \"signature\" must be set")
 		return
 	}
-	a, err := s.fullAnalysisFor(r.Context(), analyzeRequest{Benchmark: req.Benchmark, Run: req.Run, Config: req.Config})
+	a, err := s.analysisOf(r.Context(), analyzeRequest{Benchmark: req.Benchmark, Run: req.Run, Config: req.Config})
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -800,7 +626,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	a, err := s.fullAnalysisFor(r.Context(), analyzeRequest{Benchmark: req.Benchmark, Run: req.Run, Config: req.Config})
+	a, err := s.analysisOf(r.Context(), analyzeRequest{Benchmark: req.Benchmark, Run: req.Run, Config: req.Config})
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -842,7 +668,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePresets(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("benchmark")
-	a, err := s.fullAnalysisFor(r.Context(), analyzeRequest{Benchmark: name})
+	a, err := s.analysisOf(r.Context(), analyzeRequest{Benchmark: name})
 	if err != nil {
 		writeErr(w, err)
 		return

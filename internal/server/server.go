@@ -19,11 +19,14 @@ import (
 	"sync"
 	"time"
 
+	"github.com/perfmetrics/eventlens/internal/core"
 	"github.com/perfmetrics/eventlens/internal/fault"
 	"github.com/perfmetrics/eventlens/internal/machine"
+	"github.com/perfmetrics/eventlens/internal/matrix"
 	"github.com/perfmetrics/eventlens/internal/obs"
 	"github.com/perfmetrics/eventlens/internal/shard"
 	"github.com/perfmetrics/eventlens/internal/store"
+	"github.com/perfmetrics/eventlens/internal/validate"
 )
 
 // Config holds the daemon configuration.
@@ -43,9 +46,13 @@ type Config struct {
 	// QueueDepth bounds the async job queue; a full queue rejects new jobs
 	// with 429 and a Retry-After hint. Defaults to 4x Workers.
 	QueueDepth int
-	// CacheSize bounds the LRU result cache (entries). Defaults to 64.
+	// CacheSize bounds, in entries, both the LRU response cache (analyze,
+	// validate and matrix responses) and the memo of analysis internals that
+	// define, explain and presets read. Defaults to 64.
 	CacheSize int
-	// JobTimeout bounds each async job's pipeline run. Defaults to 1m.
+	// JobTimeout bounds each async job's pipeline run, and each request
+	// forwarded to a peer replica: a hung owner fails over after it. Defaults
+	// to 1m.
 	JobTimeout time.Duration
 	// ShutdownTimeout bounds connection draining and job draining on
 	// shutdown. Defaults to 10s.
@@ -73,17 +80,18 @@ type Config struct {
 	// serves the built-in platforms only.
 	PlatformDir string
 	// StoreDir enables the persistent, content-addressed result store: every
-	// computed analysis response is published there (atomic write-rename,
-	// checksummed), and cache misses consult it before recomputing, so the
-	// cache warms from disk across restarts. A corrupt or truncated entry is
-	// a miss, never a failure. Empty disables persistence.
+	// computed analyze, validate and matrix response is published there
+	// (atomic write-rename, checksummed), and cache misses consult it before
+	// recomputing, so the cache warms from disk across restarts. A corrupt or
+	// truncated entry is a miss, never a failure. Empty disables persistence.
 	StoreDir string
 	// Peers lists the base URLs ("http://host:port") of every replica in the
 	// serving tier, including this one. With two or more distinct peers,
-	// analysis and validation keys are partitioned across replicas by
-	// consistent hashing and /v1/analyze and /v1/events/validate requests are
-	// forwarded to their owner, failing over in ring order when owners are
-	// unreachable. Empty (or just this replica) serves everything locally.
+	// analyze, validate and matrix keys are partitioned across replicas by
+	// consistent hashing and /v1/analyze, /v1/events/validate and /v1/matrix
+	// requests are forwarded to their owner, failing over in ring order when
+	// owners are unreachable or exceed JobTimeout. Empty (or just this
+	// replica) serves everything locally.
 	Peers []string
 	// SelfURL is this replica's own entry in Peers; required when Peers is
 	// set, so the replica can recognize keys it owns.
@@ -191,11 +199,18 @@ func (c Config) withDefaults() Config {
 
 // Server is the eventlensd daemon.
 type Server struct {
-	cfg   Config
-	log   *slog.Logger
-	cache *resultCache
-	sets  *setCache
-	jobs  *jobManager
+	cfg  Config
+	log  *slog.Logger
+	jobs *jobManager
+
+	// cache holds canonical response bytes for every endpoint's keys, sets
+	// the measurement sets collection batching shares, and memo the analysis
+	// internals define/explain/presets read (see internals). analyze is the
+	// /v1/analyze endpoint, which those routes and async jobs also walk.
+	cache   *flightCache[[]byte]
+	sets    *flightCache[*core.MeasurementSet]
+	memo    *flightCache[*analysis]
+	analyze endpoint[analyzeRequest]
 
 	// platforms is the daemon's platform registry: the built-in platforms,
 	// extended by Config.PlatformDir. Built once in New and read-only after.
@@ -267,7 +282,7 @@ func New(cfg Config) (*Server, error) {
 		reg:        reg,
 		httpSeq:    map[string]int{},
 		peerSeq:    map[string]int{},
-		peerClient: &http.Client{},
+		peerClient: &http.Client{Timeout: cfg.JobTimeout},
 		syncSem:    make(chan struct{}, cfg.MaxSyncCompute),
 		ready:      make(chan struct{}),
 	}
@@ -319,13 +334,13 @@ func New(cfg Config) (*Server, error) {
 	s.requestsTotal = reg.CounterVec("eventlensd_requests_total",
 		"HTTP requests served, by route pattern and status code.", "route", "code")
 	s.cacheHits = reg.Counter("eventlensd_cache_hits_total",
-		"Analysis cache hits (including requests that joined an in-flight identical run).")
+		"Response cache hits on analyze, validate and matrix keys (including requests that joined an in-flight identical computation).")
 	s.cacheMisses = reg.Counter("eventlensd_cache_misses_total",
-		"Analysis cache misses (each miss runs the pipeline once).")
+		"Response cache misses on analyze, validate and matrix keys (each consults the store, then computes).")
 	s.pipelineRuns = reg.Counter("eventlensd_pipeline_runs_total",
 		"Full pipeline executions (collection + noise filter + projection + QRCP + metrics).")
 	s.pipelineSeconds = reg.Histogram("eventlensd_pipeline_seconds",
-		"Latency of full pipeline executions.", obs.DefLatencyBuckets())
+		"Latency of pipeline executions: analyses, validations and matrix computations.", obs.DefLatencyBuckets())
 	s.httpSeconds = reg.Histogram("eventlensd_http_request_seconds",
 		"HTTP request latency.", obs.DefLatencyBuckets())
 	s.jobsInflight = reg.Gauge("eventlensd_jobs_inflight",
@@ -343,7 +358,7 @@ func New(cfg Config) (*Server, error) {
 	s.storeMisses = reg.Counter("eventlensd_store_misses_total",
 		"Persistent result-store reads that found no entry.")
 	s.storeWrites = reg.Counter("eventlensd_store_writes_total",
-		"Analysis responses published to the persistent result store.")
+		"Analyze, validate and matrix responses published to the persistent result store.")
 	s.storeCorrupt = reg.Counter("eventlensd_store_corrupt_total",
 		"Persistent result-store entries that failed verification (served as misses).")
 	s.batchCoalesced = reg.Counter("eventlensd_batch_coalesced_total",
@@ -351,7 +366,7 @@ func New(cfg Config) (*Server, error) {
 	s.collections = reg.Counter("eventlensd_collections_total",
 		"Benchmark collection passes executed; each serves every analysis sharing its measurement set.")
 	s.shardRequests = reg.CounterVec("eventlensd_shard_requests_total",
-		"Sharded analyze requests, by routing outcome (local, forwarded, failover).", "outcome")
+		"Sharded analyze, validate and matrix requests, by routing outcome (local, forwarded, failover).", "outcome")
 	s.admissionRejch = reg.CounterVec("eventlensd_admission_rejected_total",
 		"Requests rejected with 429 by admission control, by site (sync, jobs).", "site")
 	s.validateRuns = reg.Counter("eventlensd_validate_runs_total",
@@ -373,8 +388,10 @@ func New(cfg Config) (*Server, error) {
 			}
 			return int64(s.store.Len())
 		})
-	s.cache = newResultCache(cfg.CacheSize, s.cacheHits, s.cacheMisses)
-	s.sets = newSetCache(cfg.SetCacheSize, s.batchCoalesced, s.collections)
+	s.cache = newFlightCache[[]byte](cfg.CacheSize)
+	s.sets = newFlightCache[*core.MeasurementSet](cfg.SetCacheSize)
+	s.memo = newFlightCache[*analysis](cfg.CacheSize)
+	s.analyze = endpoint[analyzeRequest]{s: s, key: s.analyzeKey, compute: s.analyzeBody}
 	s.jobs = newJobManager(cfg.QueueDepth, cfg.JobTimeout, s.jobsInflight, s.queueDepth, s.jobsTotal)
 	return s, nil
 }
@@ -386,9 +403,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /v1/platforms", s.handlePlatforms)
 	mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
-	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /v1/events/validate", s.handleValidate)
-	mux.HandleFunc("POST /v1/matrix", s.handleMatrix)
+	mux.Handle("POST /v1/analyze", s.analyze)
+	mux.Handle("POST /v1/events/validate", endpoint[validate.Request]{s: s, key: validateKey, compute: s.validateBody})
+	mux.Handle("POST /v1/matrix", endpoint[matrix.Request]{s: s, key: s.matrixKey, compute: s.matrixBody})
 	mux.HandleFunc("POST /v1/metrics/define", s.handleDefine)
 	mux.HandleFunc("POST /v1/events/explain", s.handleExplain)
 	mux.HandleFunc("GET /v1/presets/{benchmark}", s.handlePresets)
@@ -571,8 +588,7 @@ func (s *Server) runJobOnce(ctx context.Context, j *job, attempt int) (resp *ana
 			fault.Sleep(s.chaos.Delay(coord))
 		}
 	}
-	resp, _, err = s.doAnalyze(ctx, j.req)
-	return resp, err
+	return s.doAnalyze(ctx, j.req)
 }
 
 // Run listens on cfg.Addr and serves until ctx is cancelled, then shuts

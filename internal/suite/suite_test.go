@@ -1,9 +1,12 @@
 package suite
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"github.com/perfmetrics/eventlens/internal/cat"
+	"github.com/perfmetrics/eventlens/internal/par"
 )
 
 func TestAllBenchmarksWellFormed(t *testing.T) {
@@ -54,6 +57,35 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Fatalf("unknown name should fail")
+	}
+}
+
+// TestByNameConcurrentMatchesAll reads the shared registry from many
+// goroutines at once (run it under -race) and checks that every lookup
+// equals the freshly built All() entry in all its data fields.
+func TestByNameConcurrentMatchesAll(t *testing.T) {
+	data := func(b Benchmark) Benchmark {
+		b.NewPlatform, b.Basis, b.Run, b.GroundTruth = nil, nil, nil, nil
+		return b
+	}
+	all := All()
+	errs := make([]string, 64)
+	par.For(8, len(errs), func(i int) {
+		want := all[i%len(all)]
+		got, err := ByName(want.Name)
+		switch {
+		case err != nil:
+			errs[i] = err.Error()
+		case !reflect.DeepEqual(data(got), data(want)):
+			errs[i] = fmt.Sprintf("ByName(%q) differs from All(): %+v", want.Name, got)
+		case got.NewPlatform == nil || got.Basis == nil || got.Run == nil || got.GroundTruth == nil:
+			errs[i] = fmt.Sprintf("ByName(%q) lost its wiring", want.Name)
+		}
+	})
+	for _, e := range errs {
+		if e != "" {
+			t.Fatal(e)
+		}
 	}
 }
 
